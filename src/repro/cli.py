@@ -315,8 +315,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import (PredictionServer, PredictorFleet,
                              build_serving_bundle)
 
-    model, tokenizer, entity_vocab = load_checkpoint(
-        args.checkpoint, mmap="auto" if args.workers > 1 else False)
+    if args.workers < 1:
+        print(f"--workers must be >= 1, got {args.workers}")
+        return 2
+    model, tokenizer, entity_vocab = load_checkpoint(args.checkpoint,
+                                                     mmap="auto")
     kb = generate_world(WorldConfig(seed=args.seed).scaled(args.scale))
     corpus = filter_relational(build_corpus(
         kb, SynthesisConfig(seed=args.seed + 1, n_tables=args.tables)))
@@ -336,22 +339,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finetune_max_instances=args.max_instances,
         enable_cache=not args.no_cache, cache_size=args.cache_size,
         journal=journal)
-    fleet = None
-    if args.workers > 1:
-        fleet = PredictorFleet(bundle.predictor, workers=args.workers,
-                               max_queue=args.max_queue, journal=journal)
-        server = PredictionServer(fleet=fleet, host=args.host,
-                                  port=args.port)
-    else:
-        server = PredictionServer(bundle.predictor, host=args.host,
-                                  port=args.port,
-                                  max_batch_size=args.max_batch_size,
-                                  max_wait_ms=args.max_wait_ms)
+    fleet = PredictorFleet(bundle.predictor, workers=args.workers,
+                           max_queue=args.max_queue, journal=journal)
+    server = PredictionServer(fleet=fleet, host=args.host, port=args.port)
     host, port = server.address
-    tier = (f"fleet of {args.workers} workers" if fleet is not None
-            else "single worker")
     print(f"serving on http://{host}:{port}  "
-          f"({tier}, cache {'off' if args.no_cache else 'on'})")
+          f"(fleet of {args.workers}, queue {args.max_queue} per worker, "
+          f"cache {'off' if args.no_cache else 'on'})")
     for task in bundle.predictor.tasks:
         print(f"  POST /v1/{task}")
     print("  GET  /healthz")
@@ -606,23 +600,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-instances", type=int, default=None,
                        help="subsample each task's fine-tuning set")
     serve.add_argument("--workers", type=int, default=1,
-                       help="serving fleet size; >1 routes requests by "
+                       help="serving fleet size; requests route by "
                             "table-content key over cache-partitioned "
                             "workers (memory-mapped weights when the "
                             "checkpoint allows)")
     serve.add_argument("--max-queue", type=int, default=64,
-                       help="per-worker queue bound before 429s "
-                            "(fleet mode)")
-    serve.add_argument("--max-batch-size", type=int, default=8,
-                       help="micro-batcher flush size")
-    serve.add_argument("--max-wait-ms", type=float, default=5.0,
-                       help="micro-batcher flush deadline")
+                       help="per-worker queue bound before 429s")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the shared encode cache")
     serve.add_argument("--cache-size", type=int, default=256,
                        help="encode-cache capacity (distinct batches)")
     serve.add_argument("--journal", default=None,
-                       help="write serve_request events to this JSONL path")
+                       help="write HTTP request summaries and traces to "
+                            "this JSONL path")
     serve.set_defaults(handler=_cmd_serve)
 
     probe = commands.add_parser("probe", help="run the recovery probe")

@@ -8,7 +8,7 @@ becomes its child, and the :class:`Tracer` aggregates ``(count, total
 seconds)`` per *path* — the tuple of labels on the span stack — so the
 same label under different parents is kept distinct.  The span stack lives
 in a :mod:`contextvars` context variable, so concurrent threads (HTTP
-handlers, batcher workers) never interleave each other's stacks.
+handlers, serving lanes) never interleave each other's stacks.
 
 **Trace contexts** — a :class:`TraceContext` gives one *request* (or eval
 probe, or any other unit of work) its own identity: a trace id plus a
@@ -75,7 +75,7 @@ class SpanRecord:
 class TraceContext:
     """Identity and span record for one request-scoped unit of work.
 
-    Span mutation is lock-protected: a micro-batcher worker may attribute
+    Span mutation is lock-protected: a serving lane thread may attribute
     spans to a request trace while the request thread records its own.
     """
 
@@ -139,7 +139,7 @@ class TraceContext:
         """Fraction of the trace wall time covered by root-level spans.
 
         Overlapping intervals are merged first, so parallel attribution
-        (e.g. a batcher span overlapping the caller's wait span) does not
+        (e.g. a lane span overlapping the caller's wait span) does not
         count twice.
         """
         total = self.wall_seconds if self.wall_seconds > 0 else self.offset()

@@ -10,17 +10,18 @@ into one uniform, instrumented surface:
   ``TURLModel.encode`` outputs keyed on batch content, so repeated tables
   skip the Transformer;
 - :mod:`repro.serve.predictor` — the :class:`Predictor` facade: adapter
-  dispatch, shared cache install, ``repro.obs`` metrics and journal;
-- :mod:`repro.serve.batcher` — :class:`MicroBatcher`: concurrent requests
-  queue up and flush as per-task batches through one worker thread;
+  dispatch, shared cache install, ``repro.obs`` metrics and journal, and
+  the typed :class:`PayloadError` for payloads that do not decode;
 - :mod:`repro.serve.http` — a stdlib ``http.server`` JSON endpoint
-  (``POST /v1/<task>``, ``GET /healthz``, ``GET /metrics``) plus the
-  in-process :class:`Client`;
+  (``POST /v1/<task>``, ``GET /healthz``, ``GET /metrics``) over a
+  :class:`PredictorFleet` (a bare :class:`Predictor` is served as a fleet
+  of one), plus the in-process :class:`Client`;
 - :mod:`repro.serve.ring` — :class:`HashRing`: consistent hashing with
   virtual nodes, routing table-content digests to workers;
 - :mod:`repro.serve.fleet` — :class:`PredictorFleet`: N worker lanes with
   private encode caches behind content-keyed routing, bounded queues with
-  typed 429/503 backpressure, and drain/reload for weight swaps;
+  typed 429/503 backpressure, and drain/reload for weight swaps — the one
+  queue every served request goes through;
 - :mod:`repro.serve.bootstrap` — build all six heads + resources from
   pipeline artifacts (the ``repro.cli serve`` / smoke-test recipe), for a
   single predictor or a fleet.
@@ -46,7 +47,6 @@ from repro.serve.adapters import (
     TaskAdapter,
     adapters_by_task,
 )
-from repro.serve.batcher import MicroBatcher
 from repro.serve.bootstrap import ServingBundle, build_serving_bundle, build_serving_fleet
 from repro.serve.cache import ENCODE_CACHE_SIZE, EncodeCache
 from repro.serve.fleet import (
@@ -60,7 +60,7 @@ from repro.serve.fleet import (
     pin_eval,
 )
 from repro.serve.http import Client, PredictionServer
-from repro.serve.predictor import Predictor
+from repro.serve.predictor import PayloadError, Predictor
 from repro.serve.ring import DEFAULT_REPLICAS, HashRing, route_key_for
 
 __all__ = [
@@ -76,7 +76,7 @@ __all__ = [
     "EncodeCache",
     "ENCODE_CACHE_SIZE",
     "Predictor",
-    "MicroBatcher",
+    "PayloadError",
     "PredictionServer",
     "Client",
     "ServingBundle",

@@ -13,7 +13,8 @@ and exposes:
 - ``predict_one(instance) -> Prediction`` — the single-instance special
   case;
 - ``decode_instance(payload)`` / ``encode_prediction(prediction)`` — the
-  JSON codecs the HTTP layer uses, built on ``Table.from_dict``.
+  JSON codecs the HTTP layer uses, built on ``Table.from_dict``; a row or
+  column index outside the decoded table raises ``ValueError``.
 
 Adapters are the canonical programmatic serving API; the per-module entry
 points remain for training-time evaluation.
@@ -110,6 +111,16 @@ class TaskAdapter:
         return clone
 
 
+def _index_field(payload: Dict[str, Any], field: str, bound: int,
+                 axis: str) -> int:
+    """``payload[field]`` as an index into ``bound`` rows or columns."""
+    value = int(payload[field])
+    if not 0 <= value < bound:
+        raise ValueError(f"{field}={value} is out of range for a table "
+                         f"with {bound} {axis}")
+    return value
+
+
 class EntityLinkingAdapter(TaskAdapter):
     """Disambiguate one mention against its candidate entity set."""
 
@@ -123,10 +134,11 @@ class EntityLinkingAdapter(TaskAdapter):
         return [Prediction(self.task_name, entity_id) for entity_id in linked]
 
     def decode_instance(self, payload: Dict[str, Any]) -> LinkingInstance:
+        table = Table.from_dict(payload["table"])
         return LinkingInstance(
-            table=Table.from_dict(payload["table"]),
-            row=int(payload["row"]),
-            col=int(payload["col"]),
+            table=table,
+            row=_index_field(payload, "row", table.n_rows, "rows"),
+            col=_index_field(payload, "col", table.n_columns, "columns"),
             mention=payload.get("mention", ""),
             true_id=payload.get("true_id", ""),
             candidates=list(payload.get("candidates", [])),
@@ -162,9 +174,10 @@ class ColumnTypeAdapter(TaskAdapter):
         return [Prediction(self.task_name, sorted(types)) for types in predicted]
 
     def decode_instance(self, payload: Dict[str, Any]) -> ColumnInstance:
+        table = Table.from_dict(payload["table"])
         return ColumnInstance(
-            table=Table.from_dict(payload["table"]),
-            col=int(payload["col"]),
+            table=table,
+            col=_index_field(payload, "col", table.n_columns, "columns"),
             types=set(payload.get("types", [])),
         )
 
@@ -194,10 +207,13 @@ class RelationExtractionAdapter(TaskAdapter):
                 for relations in predicted]
 
     def decode_instance(self, payload: Dict[str, Any]) -> RelationInstance:
+        table = Table.from_dict(payload["table"])
         return RelationInstance(
-            table=Table.from_dict(payload["table"]),
-            subject_col=int(payload["subject_col"]),
-            object_col=int(payload["object_col"]),
+            table=table,
+            subject_col=_index_field(payload, "subject_col",
+                                     table.n_columns, "columns"),
+            object_col=_index_field(payload, "object_col",
+                                    table.n_columns, "columns"),
             relations=set(payload.get("relations", [])),
         )
 

@@ -77,6 +77,11 @@ def build_serving_bundle(model: TURLModel, linearizer: Linearizer,
     adapters: List[TaskAdapter] = []
     examples: Dict[str, List[Any]] = {}
 
+    def first_examples(build) -> List[Any]:
+        """``build()[:n_examples]``, skipping the build when none are
+        wanted (example extraction walks the whole test split)."""
+        return build()[:n_examples] if n_examples > 0 else []
+
     lookup = LookupService(kb)
     linker = TURLEntityLinker(model, linearizer, kb, all_types(), seed=seed)
     if finetune_epochs > 0:
@@ -84,8 +89,9 @@ def build_serving_bundle(model: TURLModel, linearizer: Linearizer,
         linker.finetune(train, epochs=finetune_epochs,
                         max_instances=finetune_max_instances, journal=journal)
     adapters.append(EntityLinkingAdapter(linker))
-    examples["entity_linking"] = build_linking_dataset(
-        splits.test, lookup, max_instances=n_examples)[:n_examples]
+    examples["entity_linking"] = first_examples(
+        lambda: build_linking_dataset(splits.test, lookup,
+                                      max_instances=n_examples))
 
     type_dataset = build_column_type_dataset(kb, splits.train,
                                              splits.validation, splits.test,
@@ -121,14 +127,16 @@ def build_serving_bundle(model: TURLModel, linearizer: Linearizer,
                            max_instances=finetune_max_instances,
                            journal=journal)
     adapters.append(RowPopulationAdapter(populator, generator))
-    examples["row_population"] = build_population_instances(
-        splits.test, n_seed=1, min_subject_entities=3)[:n_examples]
+    examples["row_population"] = first_examples(
+        lambda: build_population_instances(splits.test, n_seed=1,
+                                           min_subject_entities=3))
 
     statistics = HeaderStatistics(splits.train)
     candidate_finder = CellFillingCandidates(splits.train, statistics)
     filler = TURLCellFiller(model, linearizer)  # zero-shot: no finetune
     adapters.append(CellFillingAdapter(filler, candidate_finder))
-    examples["cell_filling"] = build_filling_instances(splits.test)[:n_examples]
+    examples["cell_filling"] = first_examples(
+        lambda: build_filling_instances(splits.test))
 
     vocabulary = build_header_vocabulary(splits.train, min_tables=2)
     augmenter = TURLSchemaAugmenter(model, linearizer, vocabulary, seed=seed)
@@ -138,8 +146,8 @@ def build_serving_bundle(model: TURLModel, linearizer: Linearizer,
                            max_instances=finetune_max_instances,
                            journal=journal)
     adapters.append(SchemaAugmentationAdapter(augmenter))
-    examples["schema_augmentation"] = build_schema_instances(
-        splits.test, vocabulary, n_seed=1)[:n_examples]
+    examples["schema_augmentation"] = first_examples(
+        lambda: build_schema_instances(splits.test, vocabulary, n_seed=1))
 
     predictor = Predictor(adapters, enable_cache=enable_cache,
                           cache_size=cache_size, journal=journal)

@@ -40,7 +40,7 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import RunJournal, get_registry
+from repro.obs import RunJournal, capture_context, get_registry, perf_counter
 from repro.serve.adapters import Prediction
 from repro.serve.cache import EncodeCache
 from repro.serve.predictor import Predictor
@@ -115,15 +115,24 @@ def clone_predictor(template: Predictor, name: str,
 
 
 class _Work:
-    """One queued request: a (mode, task, items) triple plus its future."""
+    """One queued request: a (mode, task, items) triple plus its future,
+    the submitter's trace context and the enqueue time."""
 
-    __slots__ = ("mode", "task", "items", "future")
+    __slots__ = ("mode", "task", "items", "future", "origin", "enqueued")
 
     def __init__(self, mode: str, task: str, items: Sequence[Any]):
         self.mode = mode  # "instances" -> predict_batch, "payloads" -> JSON
         self.task = task
         self.items = list(items)
         self.future: "Future[List[Any]]" = Future()
+        self.origin = capture_context()
+        self.enqueued = perf_counter()
+
+    def record_spans(self, started: float) -> None:
+        """Attribute the queue wait and the prediction window to the
+        submitter's trace (no-op for untraced submitters)."""
+        self.origin.add_span("serve/queue", self.enqueued, started)
+        self.origin.add_span("serve/predict", started, perf_counter())
 
 
 class FleetWorker:
@@ -132,6 +141,12 @@ class FleetWorker:
     The thread owns the worker's :class:`Predictor` exclusively, so each
     lane is internally race-free; cross-lane safety comes from shared
     state being read-only (weights) or locked (visibility cache).
+
+    :meth:`submit` captures the caller's trace context
+    (:func:`repro.obs.capture_context`); before resolving a future the
+    lane records a ``serve/queue`` span (submit to pickup) and a
+    ``serve/predict`` span (the prediction call) into that context, so a
+    traced request stays one connected trace across the thread hop.
     """
 
     def __init__(self, name: str, predictor: Predictor,
@@ -225,6 +240,7 @@ class FleetWorker:
                     return  # closed and empty
                 work = self._queue.popleft()
                 self._inflight += 1
+            started = perf_counter()
             try:
                 if work.mode == "payloads":
                     result = self.predictor.predict_payloads(work.task,
@@ -233,8 +249,10 @@ class FleetWorker:
                     result = self.predictor.predict_batch(work.task,
                                                           work.items)
             except BaseException as error:
+                work.record_spans(started)
                 work.future.set_exception(error)
             else:
+                work.record_spans(started)
                 work.future.set_result(result)
             finally:
                 with self._state:

@@ -12,6 +12,10 @@ no matter which task asks), and instruments every call through
   (named fleet workers report ``serve.worker<i>.cache.hit_rate`` instead);
 - optional :class:`repro.obs.RunJournal` events (``serve_request``).
 
+:meth:`Predictor.predict_payloads` reports a payload that does not decode
+as :class:`PayloadError`, so callers can tell a bad request from a
+failure inside the model.
+
 Instrumentation reads only the monotonic clock; predictions are a pure
 function of the instance and the fine-tuned weights, so results are
 bit-identical with caching and metrics on or off.
@@ -24,6 +28,10 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.obs import RunJournal, get_registry
 from repro.serve.adapters import Prediction, TaskAdapter, adapters_by_task
 from repro.serve.cache import ENCODE_CACHE_SIZE, EncodeCache
+
+
+class PayloadError(ValueError):
+    """A JSON payload that does not decode into a task instance."""
 
 
 class Predictor:
@@ -99,8 +107,16 @@ class Predictor:
     # -- JSON plumbing (used by the HTTP layer) ---------------------------
     def predict_payloads(self, task: str,
                          payloads: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Decode JSON payloads, predict, re-encode JSON predictions."""
+        """Decode JSON payloads, predict, re-encode JSON predictions.
+
+        A decode failure raises :class:`PayloadError`; errors raised while
+        predicting propagate unchanged.
+        """
         adapter = self.adapter_for(task)
-        instances = [adapter.decode_instance(payload) for payload in payloads]
+        try:
+            instances = [adapter.decode_instance(payload)
+                         for payload in payloads]
+        except (ValueError, KeyError, TypeError) as error:
+            raise PayloadError(f"{type(error).__name__}: {error}") from error
         return [adapter.encode_prediction(prediction)
                 for prediction in self.predict_batch(task, instances)]

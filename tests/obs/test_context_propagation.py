@@ -1,14 +1,16 @@
-"""Trace-context propagation through the serving micro-batcher.
+"""Trace-context propagation through a serving lane.
 
-The satellite guarantee: a request traced through ``Client ->
-MicroBatcher`` worker threads yields one connected trace, and concurrent
-requests never interleave each other's span stacks — even under a
-threaded stress load."""
+The guarantee: a request traced through ``FleetWorker.submit`` onto the
+lane thread yields one connected trace, and concurrent requests never
+interleave each other's span stacks — even under a threaded stress load."""
 
+import sys
 import threading
 
 from repro.obs import start_trace, trace
-from repro.serve.batcher import MicroBatcher
+from repro.serve.fleet import FleetWorker
+
+TIMEOUT = 10
 
 
 class _EchoPredictor:
@@ -19,15 +21,22 @@ class _EchoPredictor:
                 for instance in instances]
 
 
+def _lane():
+    return FleetWorker("worker0", _EchoPredictor())
+
+
 def test_single_request_yields_one_connected_trace():
-    predictor = _EchoPredictor()
-    with MicroBatcher(predictor, max_batch_size=4, max_wait_ms=1.0) as batcher:
+    lane = _lane()
+    try:
         with start_trace("serve/entity_linking") as context:
             with trace("serve/wait"):
-                result = batcher.submit("entity_linking", {"row": 0}).result()
+                (result,) = lane.submit("instances", "entity_linking",
+                                        [{"row": 0}]).result(TIMEOUT)
+    finally:
+        lane.close(timeout=TIMEOUT)
     assert result["task"] == "entity_linking"
     by_name = {span.name: span for span in context.spans}
-    # the batcher worker attributed its spans back into the request trace
+    # the lane thread attributed its spans back into the request trace
     assert {"serve/wait", "serve/queue", "serve/predict"} <= set(by_name)
     wait_index = context.spans.index(by_name["serve/wait"])
     assert by_name["serve/queue"].parent == wait_index
@@ -37,25 +46,27 @@ def test_single_request_yields_one_connected_trace():
 
 
 def test_batched_requests_each_get_their_own_spans():
-    predictor = _EchoPredictor()
+    lane = _lane()
     contexts = {}
     barrier = threading.Barrier(4)
 
     def request(i):
-        barrier.wait()
+        barrier.wait(TIMEOUT)
         with start_trace(f"serve/task{i}") as context:
             with trace("serve/wait"):
-                batcher.submit("entity_linking", i).result()
+                lane.submit("instances", "entity_linking", [i]).result(TIMEOUT)
         contexts[i] = context
 
-    with MicroBatcher(predictor, max_batch_size=4,
-                      max_wait_ms=50.0) as batcher:
-        threads = [threading.Thread(target=request, args=(i,))
-                   for i in range(4)]
+    threads = [threading.Thread(target=request, args=(i,))
+               for i in range(4)]
+    try:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(TIMEOUT)
+    finally:
+        lane.close(timeout=TIMEOUT)
+    assert not any(thread.is_alive() for thread in threads)
     assert len(contexts) == 4
     for i, context in contexts.items():
         names = sorted(span.name for span in context.spans)
@@ -64,18 +75,20 @@ def test_batched_requests_each_get_their_own_spans():
 
 
 def test_threaded_stress_never_interleaves_span_stacks():
-    """32 concurrent traced requests x several rounds: every trace ends up
-    with exactly its own three spans, correctly parented, and every future
-    resolves to its own payload."""
-    predictor = _EchoPredictor()
+    """32 concurrent traced requests x several rounds, with a short thread
+    switch interval: every trace ends up with exactly its own three spans,
+    correctly parented, and every future resolves to its own payload."""
+    lane = _lane()
     errors = []
+    threads = []
 
     def request(round_index, i):
         try:
             with start_trace(f"serve/stress{i}") as context:
                 with trace("serve/wait"):
-                    result = batcher.submit(
-                        f"task{i % 3}", (round_index, i)).result()
+                    (result,) = lane.submit(
+                        "instances", f"task{i % 3}",
+                        [(round_index, i)]).result(TIMEOUT)
             assert result["instance"] == (round_index, i)
             by_name = {span.name: span for span in context.spans}
             assert set(by_name) == {"serve/wait", "serve/queue",
@@ -86,22 +99,29 @@ def test_threaded_stress_never_interleaves_span_stacks():
         except Exception as error:  # surface in the main thread
             errors.append(error)
 
-    with MicroBatcher(predictor, max_batch_size=8,
-                      max_wait_ms=1.0) as batcher:
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
         for round_index in range(3):
-            threads = [
-                threading.Thread(target=request, args=(round_index, i))
-                for i in range(32)
-            ]
-            for thread in threads:
+            batch = [threading.Thread(target=request, args=(round_index, i))
+                     for i in range(32)]
+            for thread in batch:
                 thread.start()
-            for thread in threads:
-                thread.join()
+            for thread in batch:
+                thread.join(TIMEOUT)
+            threads.extend(batch)
+    finally:
+        sys.setswitchinterval(interval)
+        lane.close(timeout=TIMEOUT)
+    assert not any(thread.is_alive() for thread in threads)
     assert errors == []
 
 
 def test_untraced_submitters_are_untouched():
-    predictor = _EchoPredictor()
-    with MicroBatcher(predictor, max_batch_size=2, max_wait_ms=1.0) as batcher:
-        result = batcher.predict("entity_linking", {"row": 1})
+    lane = _lane()
+    try:
+        (result,) = lane.submit("instances", "entity_linking",
+                                [{"row": 1}]).result(TIMEOUT)
+    finally:
+        lane.close(timeout=TIMEOUT)
     assert result["instance"] == {"row": 1}

@@ -1,9 +1,11 @@
-"""Serving fixtures: one six-task bundle built from the session context."""
+"""Serving fixtures: one six-task bundle built from the session context,
+plus a predictor whose head fails on demand."""
 
 import pytest
 
+from repro.nn import Module
 from repro.obs import disable_metrics, enable_metrics
-from repro.serve import build_serving_bundle
+from repro.serve import EntityLinkingAdapter, Predictor, build_serving_bundle
 
 
 @pytest.fixture(scope="package", autouse=True)
@@ -26,3 +28,24 @@ def bundle(context):
 @pytest.fixture(scope="session")
 def predictor(bundle):
     return bundle.predictor
+
+
+class _ExplodingHead:
+    """An entity-linking head whose ``predict`` raises ``error``."""
+
+    def __init__(self, error):
+        self.model = Module()  # the predictor installs its cache here
+        self.error = error
+
+    def predict(self, instances):
+        raise self.error
+
+
+@pytest.fixture(scope="session")
+def exploding_predictor():
+    """Factory: a Predictor serving ``entity_linking`` whose payloads
+    decode normally and whose head then raises ``error``."""
+    def build(error, journal=None):
+        return Predictor([EntityLinkingAdapter(_ExplodingHead(error))],
+                         enable_cache=False, journal=journal)
+    return build

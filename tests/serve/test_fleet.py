@@ -17,6 +17,7 @@ from repro.serve import (
     EncodeCache,
     FleetSaturated,
     FleetUnavailable,
+    FleetWorker,
     PredictorFleet,
     clone_predictor,
 )
@@ -195,6 +196,29 @@ def test_drain_completes_all_accepted_futures(bundle, mixed_payloads):
         for index, future in futures:
             assert future.done()
             assert future.result() == [expected[task][index]]
+
+
+class _FaultyPredictor:
+    """Echoes instances, except that the request ``["boom"]`` raises."""
+
+    def predict_batch(self, task, instances):
+        if instances == ["boom"]:
+            raise RuntimeError("injected fault")
+        return [f"{task}:{instance}" for instance in instances]
+
+
+def test_lane_survives_a_failing_request():
+    lane = FleetWorker("worker0", _FaultyPredictor())
+    try:
+        failing = lane.submit("instances", "t", ["boom"])
+        following = lane.submit("instances", "t", [1])
+        with pytest.raises(RuntimeError, match="injected fault"):
+            failing.result(timeout=10)
+        assert following.result(timeout=10) == ["t:1"]
+        assert lane.drain(timeout=10)
+        assert lane._thread.is_alive()
+    finally:
+        lane.close(timeout=10)
 
 
 def test_close_is_idempotent_and_final(bundle):

@@ -1,7 +1,7 @@
 """HTTP round-trips through the in-process Client: every task answers over
 a real loopback socket, error paths return typed statuses, /metrics
 reflects traffic, and concurrent clients get deterministic answers — for
-both the single-worker tier and the content-routed fleet tier.
+a bare predictor (served as a fleet of one) and a 2-worker fleet.
 """
 
 import threading
@@ -16,7 +16,7 @@ TASKS = ("entity_linking", "column_type", "relation_extraction",
 
 @pytest.fixture(scope="module")
 def client(predictor):
-    with Client(predictor, max_batch_size=4, max_wait_ms=5.0) as active:
+    with Client(predictor) as active:
         yield active
 
 
@@ -64,6 +64,41 @@ def test_malformed_payload_is_400(client):
     assert status == 400
     status, body = client.post("entity_linking", {"instances": "not-a-list"})
     assert status == 400
+
+
+# (task, field) pairs that index into the payload's table.
+CELL_INDEX_FIELDS = [("entity_linking", "row"), ("entity_linking", "col"),
+                     ("column_type", "col"),
+                     ("relation_extraction", "subject_col"),
+                     ("relation_extraction", "object_col")]
+
+
+@pytest.mark.parametrize("value", [-1, "edge"])
+@pytest.mark.parametrize("task,field", CELL_INDEX_FIELDS)
+def test_out_of_range_cell_index_is_400(bundle, client, fleet_client,
+                                        task, field, value):
+    """-1, or the first index past the table's edge, is a bad request —
+    not a 200 answered for some other cell."""
+    instance = bundle.examples[task][0]
+    payload = bundle.predictor.adapter_for(task).encode_instance(instance)
+    extent = (instance.table.n_rows if field == "row"
+              else instance.table.n_columns)
+    payload[field] = extent if value == "edge" else value
+    for active in (client, fleet_client):
+        status, body = active.post(task, {"instance": payload})
+        assert status == 400, (status, body)
+        assert "out of range" in body["error"]
+
+
+def test_prediction_time_key_error_is_500(bundle, exploding_predictor):
+    """Decode-class exceptions raised by a head while predicting are
+    server faults: 500, not the 400 kept for undecodable payloads."""
+    adapter = bundle.predictor.adapter_for("entity_linking")
+    payload = adapter.encode_instance(bundle.examples["entity_linking"][0])
+    with Client(exploding_predictor(KeyError("head lookup"))) as active:
+        status, body = active.post("entity_linking", {"instance": payload})
+    assert status == 500
+    assert "prediction failed" in body["error"]
 
 
 def test_metrics_expose_requests_latency_and_cache(bundle, client):

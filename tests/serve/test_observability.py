@@ -1,32 +1,45 @@
 """Serving-layer observability: X-Request-Id correlation, Prometheus
 exposition, per-request journal events, and the acceptance guarantee that
-one traced request's spans cover >= 95% of its wall time."""
+one traced request's spans cover >= 95% of its wall time — on a fleet of
+one and on a 2-worker fleet."""
 
 import threading
 
 import pytest
 
 from repro.obs import EVENT_REQUEST, EVENT_TRACE, RunJournal, read_journal
-from repro.serve import Client
+from repro.serve import Client, PredictorFleet
 from repro.serve.predictor import Predictor
 
 
 @pytest.fixture(scope="module")
 def client(predictor):
-    with Client(predictor, max_batch_size=4, max_wait_ms=5.0) as active:
+    with Client(predictor) as active:
         yield active
+
+
+def _journaled_predictor(bundle, journal):
+    """A predictor over the bundle's adapters that streams requests and
+    traces to ``journal``, leaving the session-scoped predictor as it was."""
+    return Predictor(list(bundle.predictor.adapters.values()),
+                     cache=bundle.predictor.cache, journal=journal)
 
 
 @pytest.fixture()
 def journal_client(bundle, tmp_path):
-    """A server whose predictor streams requests/traces to a journal.
-
-    Shares the bundle's adapters and encode cache so the session-scoped
-    predictor is left exactly as it was."""
+    """A journaled predictor served as a fleet of one."""
     journal = RunJournal(str(tmp_path / "serve.jsonl"))
-    predictor = Predictor(list(bundle.predictor.adapters.values()),
-                          cache=bundle.predictor.cache, journal=journal)
-    with Client(predictor, max_batch_size=4, max_wait_ms=5.0) as active:
+    with Client(_journaled_predictor(bundle, journal)) as active:
+        yield active, journal
+    journal.close()
+
+
+@pytest.fixture()
+def journal_fleet_client(bundle, tmp_path):
+    """The same journaled predictor behind a 2-worker fleet."""
+    journal = RunJournal(str(tmp_path / "fleet.jsonl"))
+    fleet = PredictorFleet(_journaled_predictor(bundle, journal), workers=2)
+    with Client(fleet=fleet) as active:
         yield active, journal
     journal.close()
 
@@ -34,6 +47,22 @@ def journal_client(bundle, tmp_path):
 def _linking_payload(bundle):
     adapter = bundle.predictor.adapter_for("entity_linking")
     return adapter.encode_instance(bundle.examples["entity_linking"][0])
+
+
+def _journal_events(journal, kind, count):
+    """The journal's ``kind`` events once ``count`` of them are written.
+
+    A request's summary and trace are journaled after its response bytes
+    reach the client (they record the final status and wall time), so
+    give the handler thread a moment to finish writing."""
+    pause = threading.Event()
+    for _ in range(200):
+        events = [e for e in read_journal(journal.path)
+                  if e["event"] == kind]
+        if len(events) >= count:
+            break
+        pause.wait(0.01)
+    return events
 
 
 # -- X-Request-Id correlation -----------------------------------------------
@@ -79,33 +108,13 @@ def test_prometheus_endpoint_content_type_and_families(bundle, client):
 
 # -- 500s carry the trace id -------------------------------------------------
 
-class _ExplodingAdapter:
-    task_name = "entity_linking"
-
-    class _Model:
-        pass  # predictor installs the encode cache onto this attribute bag
-
-    def __init__(self):
-        self._model = self._Model()
-
-    @property
-    def model(self):
-        return self._model
-
-    def decode_instance(self, payload):
-        return payload
-
-    def predict_batch(self, instances):
-        raise RuntimeError("adapter exploded")
-
-
-def test_500_body_echoes_trace_id(tmp_path):
+def test_500_body_echoes_trace_id(bundle, exploding_predictor, tmp_path):
     journal = RunJournal(str(tmp_path / "boom.jsonl"))
-    predictor = Predictor([_ExplodingAdapter()], enable_cache=False,
-                          journal=journal)
-    with Client(predictor, max_batch_size=2, max_wait_ms=1.0) as client:
+    predictor = exploding_predictor(RuntimeError("adapter exploded"),
+                                    journal=journal)
+    with Client(predictor) as client:
         status, body, headers = client.post_with_headers(
-            "entity_linking", {"instance": {"row": 0}})
+            "entity_linking", {"instance": _linking_payload(bundle)})
     journal.close()
     assert status == 500
     assert "prediction failed" in body["error"]
@@ -125,17 +134,8 @@ def test_each_request_journals_summary_and_trace(bundle, journal_client):
     client.predict("entity_linking", payload)
     status, _ = client.post("no_such_task", {"instance": {}})
     assert status == 404
-    # The request summary is journaled AFTER the response bytes reach the
-    # client (it records the final status and wall time), so give the
-    # handler thread a moment to finish writing.
-    pause = threading.Event()
-    for _ in range(200):
-        events = read_journal(journal.path)
-        requests = [e for e in events if e["event"] == EVENT_REQUEST]
-        if len(requests) >= 2:
-            break
-        pause.wait(0.01)
-    traces = [e for e in events if e["event"] == EVENT_TRACE]
+    requests = _journal_events(journal, EVENT_REQUEST, 2)
+    traces = _journal_events(journal, EVENT_TRACE, 2)
     assert [(e["task"], e["status"], e["instances"]) for e in requests] == [
         ("entity_linking", 200, 1), ("no_such_task", 404, 0)]
     for event in requests:
@@ -163,11 +163,9 @@ def _root_coverage(trace_event):
     return covered / trace_event["wall_seconds"]
 
 
-def test_entity_linking_trace_covers_request_wall_time(bundle, journal_client):
-    client, journal = journal_client
+def _assert_trace_covers_request(bundle, client, journal):
     client.predict("entity_linking", _linking_payload(bundle))
-    (trace_event,) = [e for e in read_journal(journal.path)
-                      if e["event"] == EVENT_TRACE]
+    (trace_event,) = _journal_events(journal, EVENT_TRACE, 1)
     spans = trace_event["spans"]
     by_name = {span["name"]: span for span in spans}
     assert {"serve/decode", "serve/wait", "serve/respond",
@@ -176,3 +174,11 @@ def test_entity_linking_trace_covers_request_wall_time(bundle, journal_client):
     assert by_name["serve/queue"]["parent"] == wait_index
     assert by_name["serve/predict"]["parent"] == wait_index
     assert _root_coverage(trace_event) >= 0.95
+
+
+def test_entity_linking_trace_covers_request_wall_time(bundle, journal_client):
+    _assert_trace_covers_request(bundle, *journal_client)
+
+
+def test_fleet_trace_covers_request_wall_time(bundle, journal_fleet_client):
+    _assert_trace_covers_request(bundle, *journal_fleet_client)

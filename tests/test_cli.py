@@ -182,7 +182,7 @@ def test_serve_parser_defaults():
     args = build_parser().parse_args(["serve", "--checkpoint", "ckpt"])
     assert args.handler is not None
     assert (args.host, args.port) == ("127.0.0.1", 8080)
-    assert args.max_batch_size == 8 and args.max_wait_ms == 5.0
+    assert args.workers == 1 and args.max_queue == 64
     assert args.no_cache is False and args.cache_size == 256
     assert args.finetune_epochs == 0
 
@@ -190,6 +190,11 @@ def test_serve_parser_defaults():
 def test_serve_requires_checkpoint():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve"])
+
+
+def test_serve_rejects_an_empty_fleet(capsys):
+    assert main(["serve", "--checkpoint", "ckpt", "--workers", "0"]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().out
 
 
 def test_pretrain_bucket_shuffle(capsys, tmp_path):
