@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.core.linearize import ETYPE_OBJECT, TableInstance
 from repro.core.masking import IGNORE, MaskingPolicy
 from repro.core.model import TURLModel
 from repro.core.stream import TableInstanceStream
-from repro.nn import eval_mode, masked_cross_entropy
+from repro.nn import Tensor, eval_mode, masked_cross_entropy
 from repro.nn.serialization import load_state, save_state_dict
 from repro.obs import RunJournal, trace
 from repro.text.tokenizer import WordPieceTokenizer
@@ -35,6 +35,14 @@ from repro.text.vocab import MASK_ID, SPECIAL_TOKENS, Vocabulary
 from repro.train import StepOutput, TrainableTask, Trainer, TrainSpec, build_optimizer
 
 _FIRST_REAL_ID = len(SPECIAL_TOKENS)
+
+
+def _labelled_rows(hidden: Tensor, labels: np.ndarray
+                   ) -> Tuple[Tensor, np.ndarray]:
+    """The ``(N, D)`` rows of ``(B, L, D)`` ``hidden`` whose label is not
+    ``IGNORE``, with their ``(N,)`` labels, in row-major order."""
+    rows = np.nonzero(labels != IGNORE)
+    return hidden[rows], labels[rows]
 
 
 @dataclass
@@ -182,30 +190,44 @@ class Pretrainer:
                                              self._spec(), max(1, total_steps))
 
     # -- joint objective --------------------------------------------------
-    def compute_loss(self, batch: Dict[str, np.ndarray],
-                     rng: np.random.Generator) -> StepOutput:
-        """Mask ``batch`` and evaluate the joint MLM + MER loss (Eqn. 7)."""
+    def _masked_objectives(self, batch: Dict[str, np.ndarray],
+                          rng: np.random.Generator
+                          ) -> Tuple[Optional[Tensor], Dict[str, float],
+                                     Tensor]:
+        """Mask ``batch``, encode it and evaluate MLM + MER (Eqn. 7).
+
+        Returns ``(total, {"mlm": ..., "mer": ...}, entity_hidden)``;
+        ``total`` is ``None`` when nothing was masked.  Both heads score only
+        the masked rows: the hidden states whose label is not ``IGNORE`` are
+        gathered before the vocabulary / candidate projection.
+        """
         masked = self.masking.apply(batch, rng)
         token_hidden, entity_hidden = self.model.encode(
             masked.batch, use_visibility=self.use_visibility)
 
-        extras: Dict[str, float] = {"mlm": 0.0, "mer": 0.0}
+        losses: Dict[str, float] = {"mlm": 0.0, "mer": 0.0}
         total = None
         if masked.n_mlm:
-            mlm_logits = self.model.mlm_logits(token_hidden)
+            hidden, labels = _labelled_rows(token_hidden, masked.mlm_labels)
             mlm_loss = masked_cross_entropy(
-                mlm_logits, np.maximum(masked.mlm_labels, 0),
-                masked.mlm_labels != IGNORE)
-            extras["mlm"] = mlm_loss.item()
+                self.model.mlm_logits(hidden), labels, labels != IGNORE)
+            losses["mlm"] = mlm_loss.item()
             total = mlm_loss
         if masked.n_mer:
             candidate_ids, remapped = self.candidates.build(
                 batch["entity_ids"], masked.mer_labels, rng)
-            mer_logits = self.model.mer_logits(entity_hidden, candidate_ids)
+            hidden, labels = _labelled_rows(entity_hidden, remapped)
             mer_loss = masked_cross_entropy(
-                mer_logits, np.maximum(remapped, 0), remapped != IGNORE)
-            extras["mer"] = mer_loss.item()
+                self.model.mer_logits(hidden, candidate_ids), labels,
+                labels != IGNORE)
+            losses["mer"] = mer_loss.item()
             total = mer_loss if total is None else total + mer_loss
+        return total, losses, entity_hidden
+
+    def compute_loss(self, batch: Dict[str, np.ndarray],
+                     rng: np.random.Generator) -> StepOutput:
+        """Mask ``batch`` and evaluate the joint MLM + MER loss (Eqn. 7)."""
+        total, extras, _ = self._masked_objectives(batch, rng)
         extras["tokens"] = int(batch["token_mask"].sum()
                                + batch["entity_mask"].sum())
         return StepOutput(loss=total, extras=extras)

@@ -135,31 +135,11 @@ class KBInjectionPretrainer(Pretrainer):
             self.relation_losses.append(0.0)
             return result
 
-        masked = self.masking.apply(batch, self.rng)
-        token_hidden, entity_hidden = self.model.encode(
-            masked.batch, use_visibility=self.use_visibility)
+        from repro.nn import clip_grad_norm
 
-        from repro.core.masking import IGNORE
-        from repro.nn import clip_grad_norm, masked_cross_entropy
-
-        losses: Dict[str, float] = {"mlm": 0.0, "mer": 0.0, "relation": 0.0}
-        total = None
-        if masked.n_mlm:
-            mlm_logits = self.model.mlm_logits(token_hidden)
-            mlm_loss = masked_cross_entropy(
-                mlm_logits, np.maximum(masked.mlm_labels, 0),
-                masked.mlm_labels != IGNORE)
-            losses["mlm"] = mlm_loss.item()
-            total = mlm_loss
-        if masked.n_mer:
-            candidate_ids, remapped = self.candidates.build(
-                batch["entity_ids"], masked.mer_labels, self.rng)
-            mer_logits = self.model.mer_logits(entity_hidden, candidate_ids)
-            mer_loss = masked_cross_entropy(
-                mer_logits, np.maximum(remapped, 0), remapped != IGNORE)
-            losses["mer"] = mer_loss.item()
-            total = mer_loss if total is None else total + mer_loss
-
+        total, losses, entity_hidden = self._masked_objectives(batch,
+                                                               self.rng)
+        losses["relation"] = 0.0
         pairs = self._pair_labels(batch, kb_ids, self.rng)
         if pairs:
             lefts = stack([entity_hidden[b, i] for b, i, _, _ in pairs], axis=0)

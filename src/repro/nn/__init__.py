@@ -5,7 +5,9 @@ a reverse-mode autograd :class:`~repro.nn.tensor.Tensor`, standard layers
 (:class:`Linear`, :class:`Embedding`, :class:`LayerNorm`, :class:`Dropout`),
 multi-head attention with additive masks, Transformer encoder blocks, the
 Adam optimizer with linear learning-rate decay, and the loss functions used
-by the pre-training and fine-tuning objectives.
+by the pre-training and fine-tuning objectives.  ``Linear`` and the masked
+attention core each record one fused tape node (:func:`linear`,
+:func:`masked_attention`) with a hand-written backward.
 
 The paper trains with PyTorch on GPUs; this substrate reproduces the same
 computations on CPU so that the full pre-train/fine-tune pipeline runs
@@ -16,6 +18,7 @@ from repro.nn.tensor import (
     Tensor,
     Parameter,
     concat,
+    linear,
     stack,
     no_grad,
     is_grad_enabled,
@@ -38,7 +41,7 @@ from repro.nn.layers import (
     ModuleList,
     eval_mode,
 )
-from repro.nn.attention import MultiHeadAttention
+from repro.nn.attention import MultiHeadAttention, masked_attention
 from repro.nn.transformer import TransformerBlock, TransformerEncoder
 from repro.nn.optim import Adam, SGD, LinearDecaySchedule, ConstantSchedule, clip_grad_norm
 from repro.nn.losses import (
@@ -52,6 +55,7 @@ __all__ = [
     "Tensor",
     "Parameter",
     "concat",
+    "linear",
     "stack",
     "no_grad",
     "is_grad_enabled",
@@ -73,6 +77,7 @@ __all__ = [
     "ModuleList",
     "eval_mode",
     "MultiHeadAttention",
+    "masked_attention",
     "TransformerBlock",
     "TransformerEncoder",
     "Adam",

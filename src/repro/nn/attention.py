@@ -5,6 +5,14 @@ matrix ``M`` before the softmax.  We implement the mask additively — masked
 positions receive a large negative logit — which is numerically equivalent to
 the paper's element-wise product formulation for binary masks and is the
 standard trick used by Transformer implementations.
+
+Everything between the q/k/v projections and the output projection —
+head split, scaling, the additive mask, a max-shifted softmax, the attention
+dropout, the value product and the head merge — is one autograd tape node,
+:func:`masked_attention`, with a hand-written backward.
+:meth:`MultiHeadAttention._reference_forward` keeps the primitive-op
+composition as the oracle; outputs and every gradient are bit-equal to it
+(``tests/bench/test_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -17,6 +25,66 @@ from repro.nn.layers import Dropout, Linear, Module
 from repro.nn.tensor import Tensor
 
 MASKED_LOGIT = -1e9
+
+
+def masked_attention(query: Tensor, key: Tensor, value: Tensor,
+                     num_heads: int, mask: Optional[np.ndarray] = None,
+                     keep: Optional[np.ndarray] = None) -> Tensor:
+    """Masked multi-head attention core as one tape node.
+
+    ``query``, ``key`` and ``value`` are ``(B, L, D)`` projections; the
+    result is the ``(B, L, D)`` context with heads merged.  ``mask`` is an
+    additive logit mask broadcastable to ``(B, H, L, L)`` (see
+    :meth:`AdditiveVisibilityMask.additive`); ``keep`` is an inverted-dropout
+    keep-mask of shape ``(B, H, L, L)``, already divided by the keep
+    probability, or ``None`` for no dropout.
+
+    Every array operation repeats the one the primitive-op composition
+    performs, in the same order and on the same memory layout, so outputs
+    and gradients are bit-equal to it.  The key gradient, in particular, is
+    computed as ``(qᵀ·dS)ᵀ``, the orientation the matmul backward produces.
+    """
+    batch, length, dim = query.shape
+    head_dim = dim // num_heads
+    split = (batch, length, num_heads, head_dim)
+    q = query.data.reshape(split).transpose(0, 2, 1, 3)
+    k = key.data.reshape(split).transpose(0, 2, 1, 3)
+    v = value.data.reshape(split).transpose(0, 2, 1, 3)
+    scale = 1.0 / np.sqrt(head_dim)
+
+    probs = q @ k.swapaxes(-1, -2)
+    probs *= scale
+    if mask is not None:
+        probs += mask
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    weights = probs if keep is None else probs * keep
+
+    def merge(heads: np.ndarray) -> np.ndarray:
+        # (B, H, L, Dh) -> a fresh (B, L, D) array.
+        out = np.empty((batch, length, dim))
+        out.reshape(split)[...] = heads.transpose(0, 2, 1, 3)
+        return out
+
+    def backward(g: np.ndarray) -> None:
+        d_context = g.reshape(split).transpose(0, 2, 1, 3).copy()
+        if value.requires_grad:
+            value._accumulate(merge(weights.swapaxes(-1, -2) @ d_context))
+        d_logits = d_context @ v.swapaxes(-1, -2)
+        if keep is not None:
+            d_logits *= keep
+        dot = (d_logits * probs).sum(axis=-1, keepdims=True)
+        d_logits -= dot
+        d_logits *= probs
+        d_logits *= scale
+        if query.requires_grad:
+            query._accumulate(merge(d_logits @ k))
+        if key.requires_grad:
+            key._accumulate(merge(
+                (q.swapaxes(-1, -2) @ d_logits).swapaxes(-1, -2)))
+
+    return Tensor._make(merge(weights @ v), (query, key, value), backward)
 
 
 class AdditiveVisibilityMask:
@@ -135,23 +203,18 @@ class MultiHeadAttention(Module):
             ``MASKED_LOGIT`` added before the softmax.
         """
         batch, length, _ = hidden.shape
-        q = self._split_heads(self.query(hidden), batch, length)
-        k = self._split_heads(self.key(hidden), batch, length)
-        v = self._split_heads(self.value(hidden), batch, length)
-
-        logits = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
+        mask = None
         if visibility is not None:
             if not isinstance(visibility, AdditiveVisibilityMask):
                 visibility = AdditiveVisibilityMask(visibility)
             visibility.check_shape(batch, length)
             # Broadcast over the head axis; masked logits underflow to zero
             # probability exactly as the boolean reference path does.
-            logits = logits + visibility.additive()
-
-        weights = logits.softmax(axis=-1)
-        weights = self.dropout(weights)
-        context = weights @ v  # (B, H, L, Dh)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, length, self.dim)
+            mask = visibility.additive().data
+        keep = self.dropout.keep_mask((batch, self.num_heads, length, length))
+        context = masked_attention(self.query(hidden), self.key(hidden),
+                                   self.value(hidden), self.num_heads,
+                                   mask=mask, keep=keep)
         return self.output(context)
 
     def _reference_forward(self, hidden: Tensor,

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.nn.hooks import FORWARD_HOOK
 from repro.nn.sanitize import SANITIZER, SanitizerError
-from repro.nn.tensor import Parameter, Tensor
+from repro.nn.tensor import Parameter, Tensor, dropout_mask, linear
 
 
 class Module:
@@ -189,10 +189,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -240,9 +237,19 @@ class Dropout(Module):
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
     def forward(self, x: Tensor) -> Tensor:
+        mask = self.keep_mask(x.shape)
+        return x if mask is None else x * Tensor(mask)
+
+    def keep_mask(self, shape: Tuple[int, ...]) -> Optional[np.ndarray]:
+        """The scaled keep-mask this layer applies to an input of ``shape``,
+        or ``None`` when dropout is inactive (eval mode or rate 0).
+
+        Fused ops that apply dropout inside their own tape node call this
+        instead of the layer, drawing from the same RNG stream.
+        """
         if not self.training or self.rate == 0.0:
-            return x
-        return x.dropout(self.rate, self.rng)
+            return None
+        return dropout_mask(self.rate, self.rng, shape)
 
 
 class Sequential(Module):

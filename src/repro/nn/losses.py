@@ -66,15 +66,22 @@ def masked_cross_entropy(logits: Tensor, targets: np.ndarray,
                          mask: np.ndarray) -> Tensor:
     """Cross-entropy averaged over positions where ``mask`` is True.
 
-    ``logits``: ``(batch, length, num_classes)``; ``targets``: ``(batch,
-    length)``; ``mask``: boolean of the same leading shape.
+    ``logits``: ``(..., num_classes)``, e.g. ``(batch, length, num_classes)``;
+    ``targets``: integer ids of the leading shape; ``mask``: boolean of the
+    leading shape.  Callers that already gathered the scored rows pass 2-D
+    logits with an all-True mask, and no reshape or row-gather node is
+    recorded.
     """
-    mask = np.asarray(mask, dtype=bool)
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
     if not mask.any():
         raise ValueError("mask selects no positions")
-    rows = np.where(mask.reshape(-1))[0]
-    flat_logits = logits.reshape(-1, logits.shape[-1])[rows]
-    flat_targets = np.asarray(targets, dtype=np.int64).reshape(-1)[mask.reshape(-1)]
+    flat_logits = logits
+    if logits.ndim != 2:
+        flat_logits = logits.reshape(-1, logits.shape[-1])
+    flat_targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    if not mask.all():
+        flat_logits = flat_logits[np.where(mask)[0]]
+        flat_targets = flat_targets[mask]
     log_probs = flat_logits.log_softmax(axis=-1)
     picked = log_probs[np.arange(len(flat_targets)), flat_targets]
     return -picked.mean()

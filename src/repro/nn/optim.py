@@ -90,11 +90,27 @@ class Adam:
             grad = parameter.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * parameter.data
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * grad**2
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
-            parameter.data = parameter.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # Moments update in place, in the operation order of
+            # ``m = b1 * m + (1 - b1) * g`` and ``v = b2 * v + (1 - b2) * g**2``
+            # and the step in that of ``lr * m_hat / (sqrt(v_hat) + eps)``,
+            # so results are bit-identical to the out-of-place form.
+            m, v = self._m[i], self._v[i]
+            update = (1.0 - self.beta1) * grad
+            m *= self.beta1
+            m += update
+            scratch = grad * grad
+            scratch *= 1.0 - self.beta2
+            v *= self.beta2
+            v += scratch
+            np.divide(m, bias1, out=update)
+            update *= lr
+            np.divide(v, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update /= scratch
+            # Rebind rather than write in place: read-only memory-mapped
+            # weights and the sanitizer's version counter rely on it.
+            parameter.data = np.subtract(parameter.data, update, out=update)
 
     def zero_grad(self) -> None:
         for parameter in self.parameters:

@@ -9,6 +9,14 @@ into its parents.
 Only the operations needed by the TURL model family are implemented, but each
 is implemented with full broadcasting support so the layers above can be
 written naturally.
+
+The hot layers record fused nodes instead of chains of primitive ops:
+:func:`linear` is the whole affine map ``x @ W + b`` (one node whose weight
+gradient is a single 2-D GEMM over the flattened leading axes), and
+:func:`repro.nn.attention.masked_attention` is the whole masked multi-head
+attention core.  Fused nodes are built through :meth:`Tensor._make` like
+every other op, so the sanitizer, ``op_name`` and the profiler's tape
+tagging see them as one node each.
 """
 
 from __future__ import annotations
@@ -398,13 +406,16 @@ class Tensor:
         """GELU activation (tanh approximation, as used by BERT)."""
         c = np.sqrt(2.0 / np.pi)
         x = self.data
-        inner = c * (x + 0.044715 * x**3)
+        # Products, not ``x**3``: NumPy sends a cube through libm ``pow``,
+        # about 100x slower than two multiplies.
+        x_squared = x * x
+        inner = c * (x + 0.044715 * (x_squared * x))
         t = np.tanh(inner)
         data = 0.5 * x * (1.0 + t)
 
         def backward(g: np.ndarray) -> None:
-            dinner = c * (1.0 + 3 * 0.044715 * x**2)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
+            dinner = c * (1.0 + 3 * 0.044715 * x_squared)
+            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
             self._accumulate(g * local)
 
         return Tensor._make(data, (self,), backward)
@@ -582,9 +593,18 @@ class Tensor:
         """Inverted dropout; identity when ``rate`` is 0."""
         if rate <= 0.0:
             return self
-        keep = 1.0 - rate
-        mask = (rng.random(self.shape) < keep) / keep
-        return self * Tensor(mask)
+        return self * Tensor(dropout_mask(rate, rng, self.shape))
+
+
+def dropout_mask(rate: float, rng: np.random.Generator,
+                 shape: Tuple[int, ...]) -> np.ndarray:
+    """Inverted-dropout keep-mask: ``1 / (1 - rate)`` where kept, else 0.
+
+    The one draw :meth:`Tensor.dropout` and fused ops that apply dropout
+    inside their own node share, so both consume ``rng`` identically.
+    """
+    keep = 1.0 - rate
+    return (rng.random(shape) < keep) / keep
 
 
 class Parameter(Tensor):
@@ -592,6 +612,31 @@ class Parameter(Tensor):
 
     def __init__(self, data: ArrayLike):
         super().__init__(data, requires_grad=True)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Affine map ``x @ weight + bias`` over the last axis as one tape node.
+
+    ``x`` has shape ``(..., in)``, ``weight`` ``(in, out)`` and ``bias``
+    ``(out,)``.  The backward pass computes the input gradient as
+    ``g @ weight.T``, the weight gradient as one 2-D GEMM over the flattened
+    leading axes and the bias gradient as one row sum.
+    """
+    data = x.data @ weight.data
+    if bias is not None:
+        data += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(g @ weight.data.T)
+        rows = g.reshape(-1, g.shape[-1])
+        if weight.requires_grad:
+            weight._accumulate(x.data.reshape(-1, x.shape[-1]).T @ rows)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(rows.sum(axis=0))
+
+    return Tensor._make(data, parents, backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:

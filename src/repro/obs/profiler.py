@@ -215,9 +215,14 @@ class LayerProfiler:
                 if stats[path].calls or stats[path].backward_ops]
 
     def total_forward_seconds(self) -> float:
-        """Root-level cumulative forward seconds (depth-0 paths)."""
-        return sum(s.forward_seconds for s in self.stats().values()
-                   if s.depth == 0)
+        """Forward seconds over the whole tree: the sum of every path's self
+        seconds.
+
+        This equals the root's cumulative seconds when the root is called,
+        and stays the right denominator when only submodules are — the
+        pre-training step calls ``model.encode(...)``, never ``model(...)``.
+        """
+        return sum(s.forward_self_seconds for s in self.stats().values())
 
     def to_dict(self) -> Dict[str, Any]:
         stats = self.stats()

@@ -161,3 +161,23 @@ def test_reports_render(net):
     payload = profiler.to_dict()
     assert payload["memory"] is True
     assert any(layer["path"] == "model/head" for layer in payload["layers"])
+
+
+def test_percentages_use_the_whole_tree_when_the_root_is_never_called(net):
+    # Pre-training drives ``model.encode``, never ``model(...)``: the root
+    # path records no time, yet the table's "Fwd %" must still be a share.
+    with profile(net) as profiler:
+        for _ in range(3):
+            x = Tensor(np.ones((16, 8)))
+            for block in net.blocks:
+                x = block(x)
+            net.head(x)
+    assert profiler.stats()["model"].calls == 0
+    percent = {}
+    for line in format_layer_table(profiler).splitlines()[1:]:
+        fields = line.split()
+        percent[fields[0]] = float(fields[3])
+    top_level = ("model/blocks/items/0", "model/blocks/items/1", "model/head")
+    assert sum(percent[path] for path in top_level) == pytest.approx(100.0,
+                                                                      abs=1.0)
+    assert max(percent.values()) <= 100.0

@@ -12,7 +12,8 @@ template predictor's answer for that payload.
 Reports p50/p99 latency, throughput, per-status-class counts, per-worker
 cache hit rates and the fleet rollup as JSON (``--json``), and enforces
 thresholds (``--p99-budget-ms``, zero 5xx, zero mismatches, cache hits
-on every routed worker) so CI can gate on the exit code.
+on every routed worker, per-worker request counts equal to what the ring
+assigns) so CI can gate on the exit code.
 
 Usage:
     PYTHONPATH=src python tools/serve_soak.py --checkpoint /tmp/ckpt \
@@ -71,6 +72,26 @@ def build_workload(bundle, n_requests: int, seed: int, zipf_s: float):
         schedule.extend((task, int(index)) for index in picks)
     rng.shuffle(schedule)
     return payloads, expected, schedule[:n_requests]
+
+
+def ring_counts(fleet, payloads, schedule):
+    """Requests per worker name that the fleet's ring routes ``schedule`` to."""
+    counts = {}
+    for task, index in schedule:
+        name = fleet.route(task, payloads[task][index])
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def routing_matches_ring(expected, served):
+    """Whether every worker served exactly the requests the ring routes to it.
+
+    Traffic therefore spreads over two or more workers exactly when the
+    ring's counts name two or more: a small pool of distinct tables may
+    legitimately all hash to one worker.
+    """
+    names = set(expected) | set(served)
+    return all(served.get(name, 0) == expected.get(name, 0) for name in names)
 
 
 def drive(client, payloads, expected, schedule, concurrency: int):
@@ -152,6 +173,7 @@ def main(argv=None) -> int:
 
     payloads, expected, schedule = build_workload(bundle, args.requests,
                                                   args.seed, args.zipf_s)
+    routed_expected = ring_counts(fleet, payloads, schedule)
     print(f"soak: {len(schedule)} requests, {args.workers} workers, "
           f"{args.concurrency} driver threads, zipf_s={args.zipf_s}")
 
@@ -182,12 +204,12 @@ def main(argv=None) -> int:
         "zero_mismatches": mismatches == 0,
         # With a small distinct-table pool the ring may leave a worker
         # without keyspace; demand hits from every worker that actually
-        # received traffic, and that traffic spread beyond one lane.
+        # received traffic, and exactly the traffic the ring assigns it.
         "every_routed_worker_served_cache_hits": (
             bool(routed)
             and all(per_worker_hits[name] > 0 for name in routed)),
-        "routing_spread_across_workers": (
-            len(routed) >= min(2, args.workers)),
+        "routing_matches_ring": routing_matches_ring(routed_expected,
+                                                     per_worker_requests),
     }
     report = {
         "requests": len(schedule),
@@ -203,7 +225,8 @@ def main(argv=None) -> int:
         "mismatches": mismatches,
         "cache": {"hit_rate": cache.get("hit_rate"),
                   "per_worker_hits": per_worker_hits,
-                  "per_worker_requests": per_worker_requests},
+                  "per_worker_requests": per_worker_requests,
+                  "per_worker_expected_requests": routed_expected},
         "checks": checks,
     }
     if args.json_out:
@@ -216,6 +239,7 @@ def main(argv=None) -> int:
           f"hit rate {cache.get('hit_rate', 0.0):.2f}")
     for name in sorted(per_worker_hits):
         print(f"soak: {name} requests={per_worker_requests[name]:.0f} "
+              f"(ring: {routed_expected.get(name, 0)}) "
               f"hits={per_worker_hits[name]:.0f}")
     failures = [name for name, passed in checks.items() if not passed]
     for name in failures:
