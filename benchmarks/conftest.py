@@ -54,8 +54,9 @@ def _cache_paths():
 
 
 #: bump when generator/synthesizer code changes in ways that alter the corpus
-#: without touching the config objects.
-_STAMP_VERSION = 2
+#: without touching the config objects, or when a config repr could match a
+#: stamp left by an older cache.
+_STAMP_VERSION = 3
 
 
 def _config_stamp() -> str:

@@ -84,6 +84,47 @@ def synthesis_config_from_args(args: argparse.Namespace):
     return SynthesisConfig(**values)
 
 
+def _open_journal(path: Optional[str]):
+    """Open the ``--journal`` path as a :class:`repro.obs.RunJournal`.
+
+    Returns ``(journal, ok)``: ``(None, True)`` without the flag, and
+    ``(None, False)`` after printing why the file cannot be opened (the
+    command then exits 1).
+    """
+    from repro.obs import RunJournal
+
+    if not path:
+        return None, True
+    try:
+        return RunJournal(path), True
+    except OSError as error:
+        print(f"cannot open journal {path}: {error}")
+        return None, False
+
+
+def _load_pipeline(args: argparse.Namespace, mmap=False):
+    """A checkpoint plus the world and corpus it was trained on, rebuilt
+    from ``--checkpoint`` / ``--seed`` / ``--scale`` / ``--tables``.
+
+    Returns ``(model, kb, splits, linearizer)``; tables use seed + 1, as in
+    ``pretrain``.
+    """
+    from repro.core.linearize import Linearizer
+    from repro.core.pretrain import load_checkpoint
+    from repro.data.preprocessing import filter_relational, partition_corpus
+    from repro.data.synthesis import SynthesisConfig, build_corpus
+    from repro.kb.generator import WorldConfig, generate_world
+
+    model, tokenizer, entity_vocab = load_checkpoint(args.checkpoint,
+                                                     mmap=mmap)
+    kb = generate_world(WorldConfig(seed=args.seed).scaled(args.scale))
+    corpus = filter_relational(build_corpus(
+        kb, SynthesisConfig(seed=args.seed + 1, n_tables=args.tables)))
+    splits = partition_corpus(corpus, seed=args.seed)
+    linearizer = Linearizer(tokenizer, entity_vocab, model.config)
+    return model, kb, splits, linearizer
+
+
 def _cmd_world(args: argparse.Namespace) -> int:
     from repro.kb.generator import WorldConfig, generate_world
 
@@ -144,15 +185,10 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
     from repro.core.pretrain import save_checkpoint
     from repro.data.shards import ShardedDataset, ShardFormatError
     from repro.kb.generator import WorldConfig
-    from repro.obs import RunJournal
 
-    journal = None
-    if args.journal:
-        try:
-            journal = RunJournal(args.journal)
-        except OSError as error:
-            print(f"cannot open journal {args.journal}: {error}")
-            return 1
+    journal, ok = _open_journal(args.journal)
+    if not ok:
+        return 1
     try:
         if args.corpus:
             try:
@@ -257,20 +293,9 @@ def _build_finetune_task(name: str, model, linearizer, kb, splits, seed: int):
 
 
 def _cmd_finetune(args: argparse.Namespace) -> int:
-    from repro.core.linearize import Linearizer
-    from repro.core.pretrain import load_checkpoint
-    from repro.data.preprocessing import filter_relational, partition_corpus
-    from repro.data.synthesis import SynthesisConfig, build_corpus
-    from repro.kb.generator import WorldConfig, generate_world
-    from repro.obs import RunJournal
     from repro.train import Trainer, TrainSpec
 
-    model, tokenizer, entity_vocab = load_checkpoint(args.checkpoint)
-    kb = generate_world(WorldConfig(seed=args.seed).scaled(args.scale))
-    corpus = filter_relational(build_corpus(
-        kb, SynthesisConfig(seed=args.seed + 1, n_tables=args.tables)))
-    splits = partition_corpus(corpus, seed=args.seed)
-    linearizer = Linearizer(tokenizer, entity_vocab, model.config)
+    model, kb, splits, linearizer = _load_pipeline(args)
     task, evaluate = _build_finetune_task(args.task, model, linearizer, kb,
                                           splits, args.seed)
 
@@ -279,13 +304,9 @@ def _cmd_finetune(args: argparse.Namespace) -> int:
                      schedule="linear", gradient_clip=model.config.gradient_clip,
                      seed=args.seed, max_items=args.max_instances,
                      sanitize=args.sanitize)
-    journal = None
-    if args.journal:
-        try:
-            journal = RunJournal(args.journal)
-        except OSError as error:
-            print(f"cannot open journal {args.journal}: {error}")
-            return 1
+    journal, ok = _open_journal(args.journal)
+    if not ok:
+        return 1
     try:
         trainer = Trainer(task, spec, journal=journal)
         stats = trainer.fit()
@@ -306,33 +327,16 @@ def _cmd_finetune(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.linearize import Linearizer
-    from repro.core.pretrain import load_checkpoint
-    from repro.data.preprocessing import filter_relational, partition_corpus
-    from repro.data.synthesis import SynthesisConfig, build_corpus
-    from repro.kb.generator import WorldConfig, generate_world
-    from repro.obs import RunJournal
     from repro.serve import (PredictionServer, PredictorFleet,
                              build_serving_bundle)
 
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}")
         return 2
-    model, tokenizer, entity_vocab = load_checkpoint(args.checkpoint,
-                                                     mmap="auto")
-    kb = generate_world(WorldConfig(seed=args.seed).scaled(args.scale))
-    corpus = filter_relational(build_corpus(
-        kb, SynthesisConfig(seed=args.seed + 1, n_tables=args.tables)))
-    splits = partition_corpus(corpus, seed=args.seed)
-    linearizer = Linearizer(tokenizer, entity_vocab, model.config)
-
-    journal = None
-    if args.journal:
-        try:
-            journal = RunJournal(args.journal)
-        except OSError as error:
-            print(f"cannot open journal {args.journal}: {error}")
-            return 1
+    model, kb, splits, linearizer = _load_pipeline(args, mmap="auto")
+    journal, ok = _open_journal(args.journal)
+    if not ok:
+        return 1
     bundle = build_serving_bundle(
         model, linearizer, kb, splits, seed=args.seed,
         finetune_epochs=args.finetune_epochs,
@@ -363,19 +367,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     from repro.core.candidates import CandidateBuilder
-    from repro.core.linearize import Linearizer
-    from repro.core.pretrain import Pretrainer, load_checkpoint
-    from repro.data.preprocessing import filter_relational, partition_corpus
-    from repro.data.synthesis import SynthesisConfig, build_corpus
-    from repro.kb.generator import WorldConfig, generate_world
+    from repro.core.pretrain import Pretrainer
 
-    model, tokenizer, entity_vocab = load_checkpoint(args.checkpoint)
-    kb = generate_world(WorldConfig(seed=args.seed).scaled(args.scale))
-    corpus = filter_relational(build_corpus(
-        kb, SynthesisConfig(seed=args.seed + 1, n_tables=args.tables)))
-    splits = partition_corpus(corpus, seed=args.seed)
-    linearizer = Linearizer(tokenizer, entity_vocab, model.config)
-    builder = CandidateBuilder(splits.train, entity_vocab, model.config)
+    model, _, splits, linearizer = _load_pipeline(args)
+    builder = CandidateBuilder(splits.train, linearizer.entity_vocab,
+                               model.config)
     pretrainer = Pretrainer(model, [], builder, model.config)
     instances = [linearizer.encode(t) for t in splits.validation.tables[:args.max_tables]]
     accuracy = pretrainer.evaluate_object_prediction(instances)

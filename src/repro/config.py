@@ -22,11 +22,6 @@ class TURLConfig:
     intermediate_dim: int = 128
     num_heads: int = 4
     dropout: float = 0.0
-    #: derive per-layer dropout RNGs via the SeedSequence spawn protocol
-    #: (collision-free) instead of the historical 31-bit ``rng.integers``
-    #: reseed.  Off by default: flipping it changes every downstream
-    #: initialization draw, so committed goldens require the old behaviour.
-    spawn_dropout_rng: bool = False
 
     # -- input limits -----------------------------------------------------
     max_caption_tokens: int = 24
@@ -67,6 +62,10 @@ class TURLConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TURLConfig":
+        payload = dict(payload)
+        # Written by older checkpoints; it only chose how dropout streams
+        # were seeded, which loaded weights do not depend on.
+        payload.pop("spawn_dropout_rng", None)
         return cls(**payload)
 
     def validate(self) -> None:

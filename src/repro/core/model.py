@@ -38,8 +38,7 @@ class TURLModel(Module):
         self.embedding = TableEmbedding(vocab_size, entity_vocab_size, config, rng)
         self.encoder = TransformerEncoder(
             config.num_layers, config.dim, config.num_heads,
-            config.intermediate_dim, rng, dropout=config.dropout,
-            spawn_dropout_rng=config.spawn_dropout_rng)
+            config.intermediate_dim, rng, dropout=config.dropout)
         self.mlm_project = Linear(config.dim, config.dim, rng)
         self.mer_project = Linear(config.dim, config.dim, rng)
         #: Optional :class:`repro.serve.EncodeCache` (duck-typed so ``core``

@@ -133,21 +133,13 @@ class AdditiveVisibilityMask:
 VisibilityLike = Union[np.ndarray, AdditiveVisibilityMask]
 
 
-def derive_dropout_rng(rng: np.random.Generator,
-                       spawn: bool = False) -> np.random.Generator:
+def derive_dropout_rng(rng: np.random.Generator) -> np.random.Generator:
     """Derive a per-layer dropout RNG from a parent generator.
 
-    ``spawn=False`` (the historical default) reseeds from
-    ``rng.integers(2**31)`` — a 31-bit draw, so two layers of one model can
-    collide and share a dropout stream.  ``spawn=True`` uses the
-    SeedSequence spawn protocol, which guarantees statistically independent,
-    collision-free child streams; it also leaves the parent stream's state
-    untouched, so downstream initialization draws shift.  The flag is
-    surfaced as ``TURLConfig.spawn_dropout_rng`` and defaults off to keep
-    committed goldens bit-identical.
+    Reseeds from ``rng.integers(2**31)``: the parent stream advances by one
+    draw, so every later initialization draw depends on this derivation.
+    Every committed golden was trained with it.
     """
-    if spawn:
-        return rng.spawn(1)[0]
     return np.random.default_rng(rng.integers(2**31))
 
 
@@ -160,16 +152,10 @@ class MultiHeadAttention(Module):
         Model (input/output) dimension, ``d_model`` in the paper.
     num_heads:
         Number of attention heads ``k``; must divide ``dim``.
-    spawn_dropout_rng:
-        When ``True``, the dropout RNG is derived via
-        :func:`derive_dropout_rng`'s spawn path (collision-free child
-        streams); the default ``False`` keeps the historical
-        ``rng.integers(2**31)`` reseeding, which can collide across layers
-        but is what every committed golden was trained with.
     """
 
     def __init__(self, dim: int, num_heads: int, rng: np.random.Generator,
-                 dropout: float = 0.0, spawn_dropout_rng: bool = False):
+                 dropout: float = 0.0):
         super().__init__()
         if dim % num_heads != 0:
             raise ValueError(f"dim {dim} not divisible by num_heads {num_heads}")
@@ -180,8 +166,7 @@ class MultiHeadAttention(Module):
         self.key = Linear(dim, dim, rng)
         self.value = Linear(dim, dim, rng)
         self.output = Linear(dim, dim, rng)
-        self.dropout = Dropout(dropout,
-                               rng=derive_dropout_rng(rng, spawn_dropout_rng))
+        self.dropout = Dropout(dropout, rng=derive_dropout_rng(rng))
 
     def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
         # (B, L, D) -> (B, H, L, Dh)

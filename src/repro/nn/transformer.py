@@ -23,17 +23,14 @@ class TransformerBlock(Module):
     """One encoder block: attention + FFN with residual connections."""
 
     def __init__(self, dim: int, num_heads: int, intermediate_dim: int,
-                 rng: np.random.Generator, dropout: float = 0.0,
-                 spawn_dropout_rng: bool = False):
+                 rng: np.random.Generator, dropout: float = 0.0):
         super().__init__()
-        self.attention = MultiHeadAttention(dim, num_heads, rng, dropout=dropout,
-                                            spawn_dropout_rng=spawn_dropout_rng)
+        self.attention = MultiHeadAttention(dim, num_heads, rng, dropout=dropout)
         self.attention_norm = LayerNorm(dim)
         self.ffn_in = Linear(dim, intermediate_dim, rng)
         self.ffn_out = Linear(intermediate_dim, dim, rng)
         self.ffn_norm = LayerNorm(dim)
-        self.dropout = Dropout(dropout,
-                               rng=derive_dropout_rng(rng, spawn_dropout_rng))
+        self.dropout = Dropout(dropout, rng=derive_dropout_rng(rng))
 
     def forward(self, hidden: Tensor,
                 visibility: Optional[VisibilityLike] = None) -> Tensor:
@@ -48,12 +45,11 @@ class TransformerEncoder(Module):
 
     def __init__(self, num_layers: int, dim: int, num_heads: int,
                  intermediate_dim: int, rng: np.random.Generator,
-                 dropout: float = 0.0, spawn_dropout_rng: bool = False):
+                 dropout: float = 0.0):
         super().__init__()
         self.blocks = ModuleList(
             [TransformerBlock(dim, num_heads, intermediate_dim, rng,
-                              dropout=dropout,
-                              spawn_dropout_rng=spawn_dropout_rng)
+                              dropout=dropout)
              for _ in range(num_layers)]
         )
 

@@ -6,9 +6,10 @@ A dependency-free measurement layer for the training / inference stack:
   ``Timer`` instruments behind a process-global registry (a no-op
   ``NullRegistry`` by default, so instrumented code is free when
   observability is off);
-- :mod:`repro.obs.tracing` — nestable ``with trace("a/b/c"):`` spans that
-  aggregate per-path totals, plus request-scoped ``TraceContext`` records
-  (trace id + parent-linked spans with start/end offsets) carried in a
+- :mod:`repro.obs.tracing` — request-scoped ``TraceContext`` records
+  (trace id + parent-linked spans with start/end offsets) opened with
+  ``start_trace``; nestable ``with trace("a/b/c"):`` spans record into the
+  active context (a no-op outside one), which is carried in a
   ``contextvars.ContextVar`` and handed across threads with
   ``capture_context`` / ``adopt_context``;
 - :mod:`repro.obs.profiler` — opt-in per-layer forward/backward time and
@@ -29,12 +30,11 @@ Usage::
     from repro import obs
 
     registry = obs.enable_metrics()
-    tracer = obs.enable_tracing()
     with obs.start_trace("serve/entity_linking") as ctx:
         with obs.trace("serve/predict"):
             ...
     print(obs.format_prometheus(registry))
-    print(tracer.report())
+    print([(span.name, span.seconds) for span in ctx.spans])
 """
 
 from repro.obs.clock import perf_counter, wall_time
@@ -75,17 +75,11 @@ from repro.obs.prometheus import CONTENT_TYPE, format_prometheus, sanitize_name
 from repro.obs.tracing import (
     ContextSnapshot,
     SpanRecord,
-    SpanStats,
     TraceContext,
-    Tracer,
     adopt_context,
     capture_context,
     current_trace,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
     new_trace_id,
-    set_tracer,
     start_trace,
     trace,
 )
@@ -107,21 +101,15 @@ __all__ = [
     "CONTENT_TYPE",
     "format_prometheus",
     "sanitize_name",
-    "SpanStats",
     "SpanRecord",
     "TraceContext",
     "ContextSnapshot",
-    "Tracer",
     "trace",
     "start_trace",
     "current_trace",
     "capture_context",
     "adopt_context",
     "new_trace_id",
-    "get_tracer",
-    "set_tracer",
-    "enable_tracing",
-    "disable_tracing",
     "LayerProfiler",
     "LayerStats",
     "profile",

@@ -1,29 +1,23 @@
-"""Hierarchical tracing spans and request-scoped trace contexts.
+"""Request-scoped trace contexts and the spans recorded into them.
 
-Two cooperating layers:
-
-**Aggregate spans** — ``with trace("pretrain/step/forward"):`` times a
-region on the monotonic clock.  Spans nest: a span opened inside another
-becomes its child, and the :class:`Tracer` aggregates ``(count, total
-seconds)`` per *path* — the tuple of labels on the span stack — so the
-same label under different parents is kept distinct.  The span stack lives
-in a :mod:`contextvars` context variable, so concurrent threads (HTTP
-handlers, serving lanes) never interleave each other's stacks.
-
-**Trace contexts** — a :class:`TraceContext` gives one *request* (or eval
-probe, or any other unit of work) its own identity: a trace id plus a
-record of every span that ran on its behalf, each with start/end offsets
-from the trace start and a parent link.  ``with start_trace("serve/x")``
-installs a context; every ``trace(...)`` span inside records into it.
-When work hops threads, :func:`capture_context` on the submitting side and
+A :class:`TraceContext` gives one *request* (or eval probe, or any other
+unit of work) its own identity: a trace id plus a record of every span that
+ran on its behalf, each with start/end offsets from the trace start and a
+parent link.  ``with start_trace("serve/x")`` installs a context; every
+``with trace("a/b/c"):`` span inside records into it and becomes the parent
+of the spans opened within it.  The active context and open span live in
+:mod:`contextvars` context variables, so concurrent threads (HTTP handlers,
+serving lanes) never interleave each other's spans.  When work hops
+threads, :func:`capture_context` on the submitting side and
 :func:`adopt_context` on the worker side keep the spans attached to the
 originating trace.  Completed traces stream to a journal as one
 ``EVENT_TRACE`` record.
 
-Tracing is off by default: :func:`trace` then returns a shared no-op
-context manager — two context-variable reads, no allocation.  Like the
-metrics registry, tracing never touches any random-number generator, so
-seeded results are bit-identical with tracing on or off.
+Outside a trace context :func:`trace` returns a shared no-op context
+manager — one context-variable read, no allocation.  Per-phase training
+time is recorded by the journal's step events and the metric timers.
+Tracing never touches any random-number generator, so seeded results are
+bit-identical with or without a trace context.
 """
 
 from __future__ import annotations
@@ -32,8 +26,8 @@ import itertools
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.obs.clock import perf_counter, wall_time
 from repro.obs.metrics import NULL_CONTEXT
@@ -178,9 +172,6 @@ _ACTIVE: ContextVar[Optional[TraceContext]] = ContextVar(
     "repro_obs_trace_context", default=None)
 #: Index of the innermost open span in the active context (-1 = root).
 _PARENT: ContextVar[int] = ContextVar("repro_obs_trace_parent", default=-1)
-#: The aggregate-span label stack (context-local, never shared by threads).
-_PATH: ContextVar[Tuple[str, ...]] = ContextVar("repro_obs_span_path",
-                                                default=())
 
 
 def current_trace() -> Optional[TraceContext]:
@@ -271,150 +262,31 @@ def start_trace(name: str, journal: Optional[Any] = None,
     return _TraceHandle(TraceContext(name, trace_id=trace_id), journal)
 
 
-@dataclass
-class SpanStats:
-    """Aggregate for one span path: entry count and total wall seconds."""
-
-    count: int = 0
-    total_seconds: float = 0.0
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.count if self.count else 0.0
-
-
 class _Span:
-    """Context manager pushing one label onto the context-local stack."""
+    """Context manager recording one span into a trace context and making
+    it the parent of spans opened inside it."""
 
-    __slots__ = ("_tracer", "_label", "_start", "_path_token", "_span_index",
-                 "_parent_token", "_context")
+    __slots__ = ("_context", "_label", "_index", "_parent_token")
 
-    def __init__(self, tracer: Optional["Tracer"], label: str):
-        self._tracer = tracer
+    def __init__(self, context: TraceContext, label: str):
+        self._context = context
         self._label = label
-        self._start = 0.0
-        self._span_index = -1
-        self._parent_token = None
-        self._context: Optional[TraceContext] = None
 
     def __enter__(self) -> "_Span":
-        self._path_token = _PATH.set(_PATH.get() + (self._label,))
-        context = _ACTIVE.get()
-        if context is not None:
-            self._context = context
-            self._span_index = context.open_span(self._label, _PARENT.get())
-            self._parent_token = _PARENT.set(self._span_index)
-        self._start = perf_counter()
+        self._index = self._context.open_span(self._label, _PARENT.get())
+        self._parent_token = _PARENT.set(self._index)
         return self
 
     def __exit__(self, *exc) -> bool:
-        elapsed = perf_counter() - self._start
-        if self._context is not None:
-            if self._parent_token is not None:
-                _PARENT.reset(self._parent_token)
-            self._context.close_span(self._span_index)
-        path = _PATH.get()
-        _PATH.reset(self._path_token)
-        if self._tracer is not None:
-            self._tracer._record(path, elapsed)
+        _PARENT.reset(self._parent_token)
+        self._context.close_span(self._index)
         return False
 
 
-class Tracer:
-    """Collects nested span timings, keyed by the full label path.
-
-    The label stack is context-local (see module docstring); the aggregate
-    is lock-protected, so concurrent threads may record simultaneously.
-    """
-
-    def __init__(self):
-        self._aggregate: Dict[Tuple[str, ...], SpanStats] = {}
-        self._lock = threading.Lock()
-
-    def span(self, label: str) -> _Span:
-        return _Span(self, label)
-
-    def _record(self, path: Tuple[str, ...], elapsed: float) -> None:
-        with self._lock:
-            stats = self._aggregate.get(path)
-            if stats is None:
-                stats = SpanStats()
-                self._aggregate[path] = stats
-            stats.count += 1
-            stats.total_seconds += elapsed
-
-    @property
-    def depth(self) -> int:
-        """Current nesting depth in this context (0 outside any span)."""
-        return len(_PATH.get())
-
-    def paths(self) -> Dict[Tuple[str, ...], SpanStats]:
-        """The raw aggregate, keyed by span-stack path."""
-        with self._lock:
-            return dict(self._aggregate)
-
-    def stats(self, label: str) -> Optional[SpanStats]:
-        """Combined stats for ``label`` regardless of where it nested."""
-        return self.totals().get(label)
-
-    def totals(self) -> Dict[str, SpanStats]:
-        """Per-label totals/counts, summed across every parent path."""
-        merged: Dict[str, SpanStats] = {}
-        for path, stats in self.paths().items():
-            label = path[-1]
-            into = merged.setdefault(label, SpanStats())
-            into.count += stats.count
-            into.total_seconds += stats.total_seconds
-        return merged
-
-    def report(self, name_width: int = 40) -> str:
-        """Indented tree of span paths with count/total/mean columns."""
-        lines = [f"{'Span':{name_width}s}{'Count':>8s}"
-                 f"{'Total s':>12s}{'Mean s':>12s}"]
-        aggregate = self.paths()
-        for path in sorted(aggregate):
-            stats = aggregate[path]
-            label = "  " * (len(path) - 1) + path[-1]
-            lines.append(f"{label:{name_width}s}{stats.count:8d}"
-                         f"{stats.total_seconds:12.4f}{stats.mean_seconds:12.4f}")
-        return "\n".join(lines)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._aggregate.clear()
-
-
-_tracer: Optional[Tracer] = None
-
-
-def get_tracer() -> Optional[Tracer]:
-    """The active tracer, or ``None`` when tracing is disabled."""
-    return _tracer
-
-
-def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Install ``tracer`` globally (``None`` disables); returns the previous."""
-    global _tracer
-    previous = _tracer
-    _tracer = tracer
-    return previous
-
-
-def enable_tracing() -> Tracer:
-    """Install and return a fresh global tracer."""
-    tracer = Tracer()
-    set_tracer(tracer)
-    return tracer
-
-
-def disable_tracing() -> None:
-    """Turn tracing back into a no-op."""
-    set_tracer(None)
-
-
 def trace(label: str):
-    """Span context manager; records into the global tracer's aggregate
-    and/or the active trace context — a shared no-op when neither is on."""
-    if _tracer is None and _ACTIVE.get() is None:
+    """Span context manager recording into the active trace context — a
+    shared no-op outside one."""
+    context = _ACTIVE.get()
+    if context is None:
         return NULL_CONTEXT
-    return _Span(_tracer, label)
+    return _Span(context, label)

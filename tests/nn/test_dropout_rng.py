@@ -1,108 +1,59 @@
-"""Pinning the two dropout-RNG derivation schemes.
+"""Pinning the dropout-RNG derivation.
 
-The historical scheme (``spawn=False``) reseeds each layer's dropout stream
-from ``rng.integers(2**31)`` — a 31-bit draw that can collide across layers
-and that *consumes* parent state, shifting every later init draw.  The
-``spawn=True`` scheme uses the SeedSequence spawn protocol: collision-free
-child streams and an untouched parent.  Both streams are pinned here so
-neither can drift silently — every committed golden was produced by the
-historical scheme, which is why ``TURLConfig.spawn_dropout_rng`` defaults
-to ``False``.
+Each layer's dropout stream is reseeded from ``rng.integers(2**31)`` of the
+model's parent generator — one draw that *consumes* parent state, so every
+later initialization draw depends on it.  Every committed golden was
+produced by this derivation, so its stream is pinned here.
 """
 
-import numpy as np
-import pytest
+import json
+import os
 
-from repro.config import TURLConfig
-from repro.core.model import TURLModel
-from repro.nn import MultiHeadAttention, Tensor
+import numpy as np
+
+from repro.core.pretrain import load_checkpoint, save_checkpoint
 from repro.nn.attention import derive_dropout_rng
 
-# First integers(2**31) draw of default_rng(0) — the legacy child seed.
-LEGACY_CHILD_SEED = 1826701615
-# First three uniforms of default_rng(LEGACY_CHILD_SEED).
+# First three uniforms of default_rng(1826701615), where 1826701615 is the
+# first integers(2**31) draw of default_rng(0).
 LEGACY_STREAM = [0.35320251629645283, 0.6799100481064607, 0.8756641419485615]
-# The draw default_rng(0) yields AFTER the legacy derivation consumed one.
+# The draw default_rng(0) yields AFTER the derivation consumed one.
 PARENT_NEXT_AFTER_LEGACY = 1367864807
-# First three uniforms of default_rng(0).spawn(1)[0].
-SPAWN_STREAM = [0.9429375528828794, 0.3163371523854981, 0.7223425886498254]
 
 
 def test_legacy_derivation_matches_pinned_stream():
     parent = np.random.default_rng(0)
-    child = derive_dropout_rng(parent, spawn=False)
+    child = derive_dropout_rng(parent)
     np.testing.assert_array_equal(child.random(3), LEGACY_STREAM)
     # The derivation consumed exactly one 31-bit draw from the parent.
     assert int(parent.integers(2**31)) == PARENT_NEXT_AFTER_LEGACY
 
 
-def test_spawn_derivation_matches_pinned_stream_and_preserves_parent():
-    parent = np.random.default_rng(0)
-    child = derive_dropout_rng(parent, spawn=True)
-    np.testing.assert_array_equal(child.random(3), SPAWN_STREAM)
-    # Spawning leaves the parent stream untouched: its next draw is the one
-    # the legacy scheme would have consumed as the child seed.
-    assert int(parent.integers(2**31)) == LEGACY_CHILD_SEED
-
-
-def test_the_two_schemes_produce_distinct_streams():
-    legacy = derive_dropout_rng(np.random.default_rng(0), spawn=False)
-    spawned = derive_dropout_rng(np.random.default_rng(0), spawn=True)
-    assert not np.array_equal(legacy.random(8), spawned.random(8))
-
-
-def test_spawned_children_are_distinct_per_call():
-    parent = np.random.default_rng(4)
-    first = derive_dropout_rng(parent, spawn=True)
-    second = derive_dropout_rng(parent, spawn=True)
-    assert not np.array_equal(first.random(8), second.random(8))
-
-
-def test_attention_defaults_to_legacy_derivation():
-    attention = MultiHeadAttention(8, 2, np.random.default_rng(0), dropout=0.5)
-    reference = MultiHeadAttention(8, 2, np.random.default_rng(0), dropout=0.5,
-                                   spawn_dropout_rng=False)
-    x = np.ones((1, 3, 8))
-    out = attention(Tensor(x)).data
-    assert np.array_equal(out, reference(Tensor(x)).data)
-
-
-def test_spawn_flag_changes_dropout_but_not_weight_init():
-    legacy = MultiHeadAttention(8, 2, np.random.default_rng(0), dropout=0.5,
-                                spawn_dropout_rng=False)
-    spawned = MultiHeadAttention(8, 2, np.random.default_rng(0), dropout=0.5,
-                                 spawn_dropout_rng=True)
-    # Weight init consumed identical parent draws in both cases (the q/k/v/o
-    # projections are built before the dropout derivation).
-    for p_legacy, p_spawned in zip(legacy.parameters(), spawned.parameters()):
-        assert np.array_equal(p_legacy.data, p_spawned.data)
-    # ... but the training-mode dropout masks come from different streams.
-    x = Tensor(np.ones((1, 4, 8)))
-    legacy.train(), spawned.train()
-    assert not np.array_equal(legacy(x).data, spawned(x).data)
-
-
-def test_config_flag_threads_through_the_model():
-    assert TURLConfig().spawn_dropout_rng is False
-    config = TURLConfig(num_layers=2, dim=16, intermediate_dim=32,
-                        num_heads=2, dropout=0.5, spawn_dropout_rng=True)
-    model = TURLModel(vocab_size=50, entity_vocab_size=30, config=config,
-                      seed=0)
-    baseline = TURLModel(vocab_size=50, entity_vocab_size=30,
-                         config=TURLConfig(num_layers=2, dim=16,
-                                           intermediate_dim=32, num_heads=2,
-                                           dropout=0.5), seed=0)
-    # Flipping the flag must not be silent: the derivation scheme changes
-    # which parent draws later layers see, so downstream init differs.
-    states = model.state_dict(), baseline.state_dict()
-    assert any(not np.array_equal(states[0][k], states[1][k])
-               for k in states[0])
-
-
 def test_goldens_depend_on_the_legacy_default():
-    """Regression canary: the committed training goldens assume the legacy
-    scheme.  If the default ever flips, this fails before the (slow) golden
+    """Regression canary: the committed training goldens assume this
+    derivation.  If it ever changes, this fails before the (slow) golden
     suite does."""
     parent = np.random.default_rng(0)
     child = derive_dropout_rng(parent)
     np.testing.assert_array_equal(child.random(3), LEGACY_STREAM)
+
+
+def test_checkpoint_with_spawn_dropout_rng_key_still_loads(context, tmp_path):
+    """Older checkpoints carry ``"spawn_dropout_rng": false`` in
+    ``config.json``; the key is dropped on load and the weights are
+    unchanged."""
+    directory = str(tmp_path / "ckpt")
+    save_checkpoint(directory, context.model, context.tokenizer,
+                    context.entity_vocab)
+    config_path = os.path.join(directory, "config.json")
+    with open(config_path) as handle:
+        payload = json.load(handle)
+    payload["spawn_dropout_rng"] = False
+    with open(config_path, "w") as handle:
+        json.dump(payload, handle)
+
+    model, _, _ = load_checkpoint(directory)
+    assert model.config == context.model.config
+    loaded = model.state_dict()
+    for key, value in context.model.state_dict().items():
+        np.testing.assert_array_equal(loaded[key], value)

@@ -1,15 +1,16 @@
 """Instrumented pre-training: determinism, mode restore, journal wiring."""
 
+from collections import Counter
+
 import numpy as np
 
 from repro.core.pretrain import Pretrainer
 from repro.obs import (
     RunJournal,
     disable_metrics,
-    disable_tracing,
     enable_metrics,
-    enable_tracing,
     read_journal,
+    start_trace,
 )
 
 
@@ -27,15 +28,14 @@ def test_losses_bit_identical_with_instrumentation_on_vs_off(
     instances = context.instances_for(context.splits.train)[:16]
 
     disable_metrics()
-    disable_tracing()
     plain_stats, plain_model = _train_losses(context, instances)
 
     enable_metrics()
-    enable_tracing()
     journal = RunJournal(str(tmp_path / "run.jsonl"))
     try:
-        observed_stats, observed_model = _train_losses(context, instances,
-                                                       journal=journal)
+        with start_trace("pretrain/run", journal=journal):
+            observed_stats, observed_model = _train_losses(context, instances,
+                                                           journal=journal)
     finally:
         journal.close()
 
@@ -85,15 +85,16 @@ def test_step_metrics_and_spans_recorded(request):
     context = request.getfixturevalue("context")
     instances = context.instances_for(context.splits.train)[:8]
     registry = enable_metrics()
-    tracer = enable_tracing()
-    stats, _ = _train_losses(context, instances, n_epochs=1)
+    with start_trace("pretrain/run") as trace_context:
+        stats, _ = _train_losses(context, instances, n_epochs=1)
     assert registry.counter("pretrain.steps").value == stats.steps
     assert registry.timer("pretrain.forward").count == stats.steps
-    totals = tracer.totals()
-    assert totals["pretrain/step"].count == stats.steps
-    assert totals["pretrain/step/forward"].count == stats.steps
-    assert totals["model/encode/encoder"].count >= stats.steps
-    assert "pretrain/train" in tracer.report()
+    assert trace_context.dropped_spans == 0
+    counts = Counter(span.name for span in trace_context.spans)
+    assert counts["pretrain/step"] == stats.steps
+    assert counts["pretrain/step/forward"] == stats.steps
+    assert counts["model/encode/encoder"] >= stats.steps
+    assert "pretrain/train" in counts
 
 
 def test_probe_restores_callers_mode(request):

@@ -12,7 +12,6 @@ from repro.obs import (
     adopt_context,
     capture_context,
     current_trace,
-    enable_tracing,
     new_trace_id,
     read_journal,
     start_trace,
@@ -113,16 +112,6 @@ def test_snapshot_add_span_without_adoption():
     assert queue_span.end >= queue_span.start >= 0.0
     # the empty snapshot silently ignores attribution
     EMPTY_SNAPSHOT.add_span("serve/queue", start, end)
-
-
-def test_tracer_aggregate_still_works_inside_context():
-    tracer = enable_tracing()
-    with start_trace("serve/demo"):
-        with trace("outer"):
-            with trace("inner"):
-                pass
-    assert tracer.stats("outer").count == 1
-    assert (("outer", "inner") in tracer.paths())
 
 
 def test_span_cap_drops_excess_spans():
